@@ -15,15 +15,20 @@
 //                          "gflops": g, "speedup_vs_scalar": 1.0}, ...]}]}
 //
 // Permutation shapes (x / cx / swap) are tier-invariant index moves
-// (gate_flops prices them at zero), so they report gflops 0 and a
+// (call_flops prices them at zero), so they report gflops 0 and a
 // speedup near 1 — they are in the table to pin that invariant, not to
 // race the tiers.
+//
+// Each case is resolved to its kernel call once (sv::resolve_gate, or
+// sv::resolve_block for the fused rows — the path the hierarchical part
+// program takes), so the timed loop is the kernel alone.
 
 #include <cstdio>
 #include <cstring>
 #include <string>
 #include <vector>
 
+#include "circuit/fusion.hpp"
 #include "circuit/gate.hpp"
 #include "common/parallel.hpp"
 #include "common/timer.hpp"
@@ -38,6 +43,7 @@ using namespace hisim;
 struct Case {
   const char* name;
   Gate gate;
+  bool fused = false;  // resolve gate.matrix() as a fused block
 };
 
 struct TierResult {
@@ -47,17 +53,31 @@ struct TierResult {
   double speedup_vs_scalar = 1.0;
 };
 
-/// Repeats apply_gate until `min_seconds` of work has accumulated (after
+/// CX·RZ·CX on (a, b), a < b, multiplied out on the support {a, b}.
+Gate fused_cx_rz_cx(Qubit a, Qubit b, double theta) {
+  const std::vector<Qubit> support = {a, b};
+  Matrix u = Matrix::identity(4);
+  for (const Gate& g : {Gate::cx(a, b), Gate::rz(b, theta), Gate::cx(a, b)})
+    u = embed_unitary(g, support) * u;
+  return Gate::unitary(support, u);
+}
+
+sv::KernelCall resolve(const Case& c) {
+  return c.fused ? sv::resolve_block(c.gate.qubits, c.gate.matrix())
+                 : sv::resolve_gate(c.gate, c.gate.qubits);
+}
+
+/// Repeats the call until `min_seconds` of work has accumulated (after
 /// one warmup apply) and returns seconds per apply. Unitary gates keep
 /// the state normalized, so repetition is self-stable.
-double time_apply(sv::StateVector& s, const Gate& g,
+double time_apply(sv::StateVector& s, const sv::KernelCall& g,
                   const sv::KernelOps& ops, double min_seconds) {
-  sv::apply_gate(s, g, ops);  // warmup: faults pages, primes caches
+  sv::apply_call(s, g, ops);  // warmup: faults pages, primes caches
   std::size_t reps = 1;
   for (;;) {
     Stopwatch w;
     w.start();
-    for (std::size_t r = 0; r < reps; ++r) sv::apply_gate(s, g, ops);
+    for (std::size_t r = 0; r < reps; ++r) sv::apply_call(s, g, ops);
     w.stop();
     if (w.seconds() >= min_seconds)
       return w.seconds() / static_cast<double>(reps);
@@ -110,6 +130,9 @@ int main(int argc, char** argv) {
       {"ctrl_diag_1q", Gate::cp(lo, hi, 0.6)},
       {"dense_2q", Gate::rxx(lo, hi, 0.4)},
       {"diag_2q", Gate::rzz(lo, hi, 0.7)},
+      // CX·RZ·CX fused into one exactly diagonal 4x4 (the QAOA edge
+      // block): the compact diagonal kernel, not the dense 4x4.
+      {"fused_diag_2q", fused_cx_rz_cx(lo, hi, 0.7), true},
       {"perm_x", Gate::x(mid)},
       {"perm_cx", Gate::cx(lo, hi)},
       {"perm_swap", Gate::swap(lo, hi)},
@@ -135,12 +158,13 @@ int main(int argc, char** argv) {
                     ",\n  \"cases\": [";
   bool first_case = true;
   for (const Case& c : cases) {
-    const double flops = sv::gate_flops(c.gate, n);
+    const sv::KernelCall call = resolve(c);
+    const double flops = sv::call_flops(call, n);
     std::vector<TierResult> results;
     for (const sv::KernelOps* ops : tiers) {
       TierResult r;
       r.tier = ops->name;
-      r.seconds_per_apply = time_apply(s, c.gate, *ops, min_seconds);
+      r.seconds_per_apply = time_apply(s, call, *ops, min_seconds);
       r.gflops = flops > 0.0 ? flops / r.seconds_per_apply / 1e9 : 0.0;
       r.speedup_vs_scalar =
           results.empty()

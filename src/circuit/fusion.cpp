@@ -9,7 +9,8 @@
 
 namespace hisim {
 
-Matrix embed_unitary(const Gate& gate, const std::vector<Qubit>& support) {
+Matrix embed_unitary(const Gate& gate, const std::vector<Qubit>& support,
+                     std::span<const double> bound) {
   HISIM_CHECK(std::is_sorted(support.begin(), support.end()));
   const unsigned w = static_cast<unsigned>(support.size());
   HISIM_CHECK_MSG(w <= 12, "embed_unitary limited to 12 qubits");
@@ -22,7 +23,7 @@ Matrix embed_unitary(const Gate& gate, const std::vector<Qubit>& support) {
                     "gate qubit not in support");
     pos[j] = static_cast<unsigned>(it - support.begin());
   }
-  const Matrix u = gate.matrix();
+  const Matrix u = gate.matrix(bound);
   const Index kdim = Index{1} << gate.arity();
   const Index dim_w = Index{1} << w;
   Matrix out(dim_w, dim_w);
@@ -58,36 +59,21 @@ namespace {
 /// that commute (they act on disjoint qubits).
 struct Run {
   std::vector<std::size_t> gates;
-  std::set<Qubit> support;
+  std::vector<Qubit> support;  // ascending; at most max_qubits entries
 };
 
-/// Emits one fused gate (or the original when the run has length 1).
-void flush_run(Circuit& out, const Circuit& in,
-               const std::vector<std::size_t>& run,
-               const std::set<Qubit>& support_set) {
-  if (run.empty()) return;
-  if (run.size() == 1) {
-    out.add(in.gate(run[0]));
-    return;
-  }
-  const std::vector<Qubit> support(support_set.begin(), support_set.end());
-  Matrix total = Matrix::identity(Index{1} << support.size());
-  for (std::size_t gi : run)
-    total = embed_unitary(in.gate(gi), support) * total;
-  out.add(Gate::unitary(support, std::move(total)));
-  static trace::Counter& fused =
-      trace::MetricsRegistry::global().counter("kernel.fused_blocks");
-  fused.add();
+bool contains(const std::vector<Qubit>& support, Qubit q) {
+  return std::find(support.begin(), support.end(), q) != support.end();
 }
 
-/// Flushes every open run in first-gate order (the deterministic
-/// canonical order; any order is equivalent because supports are
-/// disjoint) and clears the list.
-void flush_all(Circuit& out, const Circuit& in, std::vector<Run>& runs) {
+/// Emits every open run in first-gate order (the deterministic canonical
+/// order; any order is equivalent because supports are disjoint) and
+/// clears the list.
+void flush_all(std::vector<FusionRun>& out, std::vector<Run>& runs) {
   std::sort(runs.begin(), runs.end(), [](const Run& a, const Run& b) {
     return a.gates.front() < b.gates.front();
   });
-  for (const Run& r : runs) flush_run(out, in, r.gates, r.support);
+  for (Run& r : runs) out.push_back({std::move(r.gates), std::move(r.support)});
   runs.clear();
 }
 
@@ -97,8 +83,7 @@ void check_runs(const std::vector<Run>& runs, unsigned max_qubits) {
   if constexpr (checked_build) {
     std::vector<std::vector<Qubit>> supports;
     supports.reserve(runs.size());
-    for (const Run& r : runs)
-      supports.emplace_back(r.support.begin(), r.support.end());
+    for (const Run& r : runs) supports.push_back(r.support);
     validate_fusion_supports(supports, max_qubits);
   }
 }
@@ -129,36 +114,25 @@ void validate_fusion_supports(std::span<const std::vector<Qubit>> supports,
                                                << "argument violated");
 }
 
-Circuit fuse(const Circuit& c, const FusionOptions& opt) {
-  HISIM_CHECK(opt.max_qubits >= 1 && opt.max_qubits <= 10);
-  Circuit out(c.num_qubits(), c.name() + "_fused");
-  // Re-registering in order preserves parameter ids, so symbolic gates
-  // pass through with their expressions intact.
-  for (const std::string& p : c.param_names()) out.param(p);
+std::vector<FusionRun> fusion_runs(const Circuit& c,
+                                   std::span<const std::size_t> gates,
+                                   unsigned max_qubits,
+                                   bool (*barrier)(const Gate&)) {
+  std::vector<FusionRun> out;
+  out.reserve(gates.size());
   std::vector<Run> runs;
-  for (std::size_t i = 0; i < c.num_gates(); ++i) {
+  std::vector<Qubit> qubits, merged;  // per-gate scratch, reused
+  std::vector<std::size_t> touched;
+  for (std::size_t i : gates) {
     const Gate& g = c.gate(i);
-    // The arity policy applies to symbolic gates too (a wide symbolic
-    // gate must still trip keep_wide_gates=false), so check it first.
-    if (g.arity() > opt.max_qubits) {
-      HISIM_CHECK_MSG(opt.keep_wide_gates,
-                      "gate wider than fusion limit: " << g.to_string());
-      flush_all(out, c, runs);
-      out.add(g);
-      continue;
-    }
-    if (g.is_parametric() || g.kind == GateKind::NoiseSlot) {
-      // A symbolic gate has no materializable unitary at fusion time; it
-      // breaks every open run and passes through for bind-at-execute
-      // materialization. Fusing it into a dense Unitary here would bake in
-      // angle values and defeat the one-plan/many-bindings contract.
-      // A reserved noise slot likewise passes through intact: fusing its
-      // (currently identity) matrix into a neighbour would erase the
-      // insertion point trajectories substitute sampled operators into.
-      // All runs flush (not just overlapping ones) so no fused block is
-      // hoisted across a barrier it might not commute with at bind time.
-      flush_all(out, c, runs);
-      out.add(g);
+    qubits.assign(g.qubits.begin(), g.qubits.end());
+    std::sort(qubits.begin(), qubits.end());
+    if (g.arity() > max_qubits || barrier(g)) {
+      // A wide gate passes through unchanged. A barrier breaks every open
+      // run too: all runs flush (not just overlapping ones) so no block
+      // is hoisted across a gate it might not commute with.
+      flush_all(out, runs);
+      out.push_back({{i}, qubits});
       continue;
     }
     // Runs whose support the gate touches. Zero -> open a new run; one or
@@ -167,47 +141,85 @@ Circuit fuse(const Circuit& c, const FusionOptions& opt) {
     // runs stay open either way — that is what lets interleaved disjoint
     // streams (h 0; h 2; h 1; cx 0 1; ...) each reach a full-width block
     // instead of cutting each other's windows short.
-    std::vector<std::size_t> touched;
+    touched.clear();
     for (std::size_t r = 0; r < runs.size(); ++r)
-      for (Qubit q : g.qubits)
-        if (runs[r].support.count(q)) {
+      for (Qubit q : qubits)
+        if (contains(runs[r].support, q)) {
           touched.push_back(r);
           break;
         }
-    std::set<Qubit> merged(g.qubits.begin(), g.qubits.end());
+    merged = qubits;
     for (std::size_t r : touched)
-      merged.insert(runs[r].support.begin(), runs[r].support.end());
-    if (merged.size() <= opt.max_qubits) {
-      // Merge the touched runs into the first one; gate order inside the
-      // merged run is by original index (runs were disjoint until now, so
-      // only the relative order within each original run constrains the
-      // product — ascending index respects all of them).
-      Run next;
-      next.support = std::move(merged);
-      for (std::size_t r : touched)
-        next.gates.insert(next.gates.end(), runs[r].gates.begin(),
-                          runs[r].gates.end());
-      next.gates.push_back(i);
-      std::sort(next.gates.begin(), next.gates.end());
-      for (std::size_t t = touched.size(); t-- > 0;)
-        runs.erase(runs.begin() + static_cast<std::ptrdiff_t>(touched[t]));
-      runs.push_back(std::move(next));
-      check_runs(runs, opt.max_qubits);
-    } else {
+      merged.insert(merged.end(), runs[r].support.begin(),
+                    runs[r].support.end());
+    std::sort(merged.begin(), merged.end());
+    merged.erase(std::unique(merged.begin(), merged.end()), merged.end());
+    if (merged.size() > max_qubits) {
       std::vector<Run> blocked;
       for (std::size_t t = touched.size(); t-- > 0;) {
         blocked.push_back(std::move(runs[touched[t]]));
         runs.erase(runs.begin() + static_cast<std::ptrdiff_t>(touched[t]));
       }
-      flush_all(out, c, blocked);
-      Run fresh;
-      fresh.gates.push_back(i);
-      fresh.support.insert(g.qubits.begin(), g.qubits.end());
-      runs.push_back(std::move(fresh));
-      check_runs(runs, opt.max_qubits);
+      flush_all(out, blocked);
+      runs.push_back({{i}, qubits});
+    } else if (touched.empty()) {
+      runs.push_back({{i}, qubits});
+    } else {
+      // Merge the touched runs into the first one; gate order inside the
+      // merged run is by original index (runs were disjoint until now, so
+      // only the relative order within each original run constrains the
+      // product — ascending index respects all of them).
+      Run& into = runs[touched[0]];
+      for (std::size_t t = 1; t < touched.size(); ++t)
+        into.gates.insert(into.gates.end(), runs[touched[t]].gates.begin(),
+                          runs[touched[t]].gates.end());
+      into.gates.push_back(i);
+      std::sort(into.gates.begin(), into.gates.end());
+      into.support = merged;
+      for (std::size_t t = touched.size(); t-- > 1;)
+        runs.erase(runs.begin() + static_cast<std::ptrdiff_t>(touched[t]));
     }
+    check_runs(runs, max_qubits);
   }
-  flush_all(out, c, runs);
+  flush_all(out, runs);
+  return out;
+}
+
+Circuit fuse(const Circuit& c, const FusionOptions& opt) {
+  HISIM_CHECK(opt.max_qubits >= 1 && opt.max_qubits <= 10);
+  if (!opt.keep_wide_gates)
+    for (const Gate& g : c.gates())
+      HISIM_CHECK_MSG(g.arity() <= opt.max_qubits,
+                      "gate wider than fusion limit: " << g.to_string());
+  Circuit out(c.num_qubits(), c.name() + "_fused");
+  // Re-registering in order preserves parameter ids, so symbolic gates
+  // pass through with their expressions intact.
+  for (const std::string& p : c.param_names()) out.param(p);
+  std::vector<std::size_t> all(c.num_gates());
+  for (std::size_t i = 0; i < all.size(); ++i) all[i] = i;
+  // A symbolic gate has no materializable unitary at fusion time; it is a
+  // barrier and passes through for bind-at-execute materialization.
+  // Fusing it into a dense Unitary here would bake in angle values and
+  // defeat the one-plan/many-bindings contract. A reserved noise slot
+  // likewise passes through intact: fusing its (currently identity)
+  // matrix into a neighbour would erase the insertion point trajectories
+  // substitute sampled operators into.
+  const auto barrier = [](const Gate& g) {
+    return g.is_parametric() || g.kind == GateKind::NoiseSlot;
+  };
+  static trace::Counter& fused =
+      trace::MetricsRegistry::global().counter("kernel.fused_blocks");
+  for (const FusionRun& run : fusion_runs(c, all, opt.max_qubits, barrier)) {
+    if (run.gates.size() == 1) {  // runs of length one stay the original
+      out.add(c.gate(run.gates[0]));
+      continue;
+    }
+    Matrix total = Matrix::identity(Index{1} << run.support.size());
+    for (std::size_t gi : run.gates)
+      total = embed_unitary(c.gate(gi), run.support) * total;
+    out.add(Gate::unitary(run.support, std::move(total)));
+    fused.add();
+  }
   return out;
 }
 

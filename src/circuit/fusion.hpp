@@ -36,6 +36,25 @@ struct FusionOptions {
 
 Circuit fuse(const Circuit& c, const FusionOptions& opt = {});
 
+/// One fusion run: gate indices in program order and the union of their
+/// qubits, ascending.
+struct FusionRun {
+  std::vector<std::size_t> gates;
+  std::vector<Qubit> support;
+};
+
+/// The grouping rule behind fuse(), exposed for executors that fuse at
+/// bind time (the hierarchical part program): partitions `gates` (indices
+/// into `c`, program order) into runs of at most `max_qubits` qubits with
+/// the multi-run, disjoint-support rule above. A gate wider than
+/// `max_qubits`, or one `barrier` selects, flushes every open run and
+/// forms a single-gate run of its own. Runs come out in the order they
+/// must be applied.
+std::vector<FusionRun> fusion_runs(const Circuit& c,
+                                   std::span<const std::size_t> gates,
+                                   unsigned max_qubits,
+                                   bool (*barrier)(const Gate&));
+
 /// Deep validator (see common/check.hpp): aborts unless the given open
 /// fusion-run supports are pairwise disjoint, each non-empty, sorted,
 /// duplicate-free, and within `max_qubits`. Disjointness is the entire
@@ -46,10 +65,12 @@ Circuit fuse(const Circuit& c, const FusionOptions& opt = {});
 void validate_fusion_supports(std::span<const std::vector<Qubit>> supports,
                               unsigned max_qubits);
 
-/// Expands `gate`'s unitary onto the qubit set `support` (sorted): bit j
-/// of the returned matrix's indices corresponds to support[j]. Every
-/// qubit of the gate must appear in `support`. Building block of fusion
-/// and of test oracles.
-Matrix embed_unitary(const Gate& gate, const std::vector<Qubit>& support);
+/// Expands `gate`'s unitary, materialized under `bound` (see
+/// Gate::matrix), onto the qubit set `support` (sorted): bit j of the
+/// returned matrix's indices corresponds to support[j]. Every qubit of the
+/// gate must appear in `support`. Building block of fusion and of test
+/// oracles.
+Matrix embed_unitary(const Gate& gate, const std::vector<Qubit>& support,
+                     std::span<const double> bound = {});
 
 }  // namespace hisim

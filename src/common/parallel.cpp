@@ -1,5 +1,6 @@
 #include "common/parallel.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <memory>
 
@@ -22,8 +23,13 @@ struct InlineDepthGuard {
 unsigned resolved_threads() {
   const unsigned configured = g_threads.load(std::memory_order_relaxed);
   if (configured != 0) return configured;
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : hw;
+  // Queried once: hardware_concurrency() reads /sys on every call, and
+  // this runs on every for_range (every kernel application).
+  static const unsigned hw = [] {
+    const unsigned n = std::thread::hardware_concurrency();
+    return n == 0 ? 1u : n;
+  }();
+  return hw;
 }
 
 /// A minimal fork-join pool: workers sleep between parallel regions.
@@ -169,6 +175,33 @@ void for_range(Index begin, Index end,
     return;
   }
   pool_instance(width)->run(begin, end, grain, fn);
+}
+
+unsigned region_width() {
+  return tl_inline_depth > 0 ? 1u : resolved_threads();
+}
+
+BlockGrid block_grid(Index n, Index max_blocks) {
+  constexpr Index kGrain = Index{1} << 14;
+  Index blocks = std::min((n + kGrain - 1) / kGrain, max_blocks);
+  if (blocks == 0) blocks = 1;
+  return {blocks, (n + blocks - 1) / blocks};
+}
+
+double reduce_sum(Index n, const std::function<double(Index, Index)>& fn) {
+  const BlockGrid grid = block_grid(n);
+  if (grid.blocks == 1) return fn(0, n);
+  std::vector<double> partial(grid.blocks, 0.0);
+  for_range(
+      0, grid.blocks,
+      [&](Index lo, Index hi) {
+        for (Index b = lo; b < hi; ++b)
+          partial[b] = fn(b * grid.per, std::min(n, (b + 1) * grid.per));
+      },
+      /*grain=*/1);
+  double sum = 0.0;
+  for (double p : partial) sum += p;
+  return sum;
 }
 
 inline_scope::inline_scope() { ++tl_inline_depth; }

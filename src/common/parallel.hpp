@@ -110,6 +110,28 @@ void for_range(Index begin, Index end,
                const std::function<void(Index, Index)>& fn,
                Index grain = Index{1} << 12);
 
+/// Workers a for_range issued now from this thread would fan out over:
+/// 1 inside a region or an inline_scope (nested calls run inline), else
+/// num_threads(). Lets callers size per-worker state (buffers,
+/// accumulators) to the parallelism they will actually get.
+unsigned region_width();
+
+/// Fixed, machine-independent block grid over [0, n) for deterministic
+/// parallel reductions: at most `max_blocks` blocks of at least 2^14
+/// elements (the last one may be short). The grid depends only on n, so
+/// per-block partials merged serially in block order give the same bits
+/// at any worker count.
+struct BlockGrid {
+  Index blocks;
+  Index per;  // elements per block
+};
+BlockGrid block_grid(Index n, Index max_blocks = 256);
+
+/// Σ fn(lo, hi) over the block grid of [0, n): blocks run in parallel,
+/// their partials are added serially in block order (bit-identical at any
+/// worker count).
+double reduce_sum(Index n, const std::function<double(Index, Index)>& fn);
+
 /// RAII guard forcing every for_range issued by this thread to run inline
 /// for the guard's lifetime. Comm-backend worker threads hold one so their
 /// data movement never competes with the caller's fork-join regions (a

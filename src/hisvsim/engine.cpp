@@ -17,7 +17,7 @@
 #include "hisvsim/plan_impl.hpp"
 #include "noise/trajectory.hpp"
 #include "partition/multilevel.hpp"
-#include "sv/hierarchical.hpp"
+#include "sv/part_program.hpp"
 #include "sv/simulator.hpp"
 
 namespace hisim {
@@ -370,6 +370,7 @@ ExecutionPlan Engine::compile(const Circuit& c) const {
       po.limit = impl->effective_limit;
       po.seed = opt_.seed;
       impl->single = partition::make_partition(dag, po);
+      impl->program = sv::PartProgram::compile(*source, impl->single);
       impl->parts = impl->single.num_parts();
       impl->partition_seconds = impl->single.partition_seconds;
       break;
@@ -391,6 +392,7 @@ ExecutionPlan Engine::compile(const Circuit& c) const {
       po.seed = opt_.seed;
       impl->two = partition::partition_two_level(dag, po,
                                                  impl->effective_level2);
+      impl->program = sv::PartProgram::compile(*source, impl->two);
       impl->parts = impl->two.level1.num_parts();
       impl->inner_parts = impl->two.total_inner_parts();
       impl->partition_seconds = impl->two.level1.partition_seconds;
@@ -498,14 +500,14 @@ Result ExecutionPlan::execute_impl(const ExecOptions& opts,
 
   // Materialize the executed circuit for the targets that apply it whole:
   // bind symbolic angles, then substitute the trajectory's sampled
-  // operators into the reserved noise slots. The distributed-serial/
-  // -threaded targets instead materialize per step inside
+  // operators into the reserved noise slots. The hierarchical targets
+  // instead bind their part programs op by op, and the distributed-
+  // serial/-threaded targets materialize per step inside
   // dist::execute_plan, overlapping with the exchange. This is the only
   // per-binding/per-trajectory cost: the plan structure (partitioning,
-  // layouts, exchange schedule) is shared untouched.
+  // part programs, layouts, exchange schedule) is shared untouched.
   const bool whole_target =
-      opt.target == Target::Flat || opt.target == Target::Hierarchical ||
-      opt.target == Target::Multilevel || opt.target == Target::IqsBaseline;
+      opt.target == Target::Flat || opt.target == Target::IqsBaseline;
   const bool bind_whole = !plan.param_names.empty() && whole_target;
   const bool noise_whole =
       whole_target && !noise_ops.empty() && !plan.noise.slots.empty();
@@ -565,12 +567,8 @@ Result ExecutionPlan::execute_impl(const ExecOptions& opts,
       }
       case Target::Hierarchical:
       case Target::Multilevel: {
-        const sv::HierarchicalStats stats =
-            opt.target == Target::Hierarchical
-                ? sv::HierarchicalSimulator().run(c, plan.single, state,
-                                                  plan.kernels)
-                : sv::HierarchicalSimulator().run(c, plan.two, state, 0,
-                                                  plan.kernels);
+        const sv::HierarchicalStats stats = plan.program.run(
+            c, state, *plan.kernels, param_values, noise_ops);
         r.gather_seconds = stats.gather_seconds;
         r.apply_seconds = stats.execute_seconds;
         r.scatter_seconds = stats.scatter_seconds;

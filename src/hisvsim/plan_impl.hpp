@@ -10,6 +10,7 @@
 #include "noise/trajectory.hpp"
 #include "partition/multilevel.hpp"
 #include "sv/kernel_dispatch.hpp"
+#include "sv/part_program.hpp"
 
 /// Internal: the compiled-plan representation shared by engine.cpp (which
 /// builds and executes it) and plan_validate.cpp (which deep-checks it).
@@ -67,6 +68,9 @@ struct PlanImpl {
 
   partition::Partitioning single;       // Target::Hierarchical
   partition::TwoLevelPartitioning two;  // Target::Multilevel
+  /// The hierarchical/multilevel partitioning compiled into per-part
+  /// kernel programs (structure only; bound per execute).
+  sv::PartProgram program;
   dist::DistPlan dplan;                 // Target::Distributed*
 
   const Circuit& executed_circuit() const {

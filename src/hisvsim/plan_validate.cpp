@@ -70,9 +70,12 @@ void check_target(const PlanImpl& p) {
     case Target::Hierarchical: {
       const dag::CircuitDag dag(c);
       check_partitioning(dag, p.single, "hierarchical");
-      HISIM_INVARIANT(p.parts == p.single.num_parts(),
+      HISIM_INVARIANT(p.parts == p.single.num_parts() &&
+                          p.program.num_parts() == p.parts,
                       "plan reports " << p.parts << " parts, partitioning has "
-                                      << p.single.num_parts());
+                                      << p.single.num_parts()
+                                      << ", part program has "
+                                      << p.program.num_parts());
       break;
     }
     case Target::Multilevel: {
@@ -90,8 +93,10 @@ void check_target(const PlanImpl& p) {
         check_partitioning(sdag, p.two.level2[i], "multilevel level-2");
       }
       HISIM_INVARIANT(p.parts == p.two.level1.num_parts() &&
-                          p.inner_parts == p.two.total_inner_parts(),
-                      "multilevel part counts out of sync with partitioning");
+                          p.inner_parts == p.two.total_inner_parts() &&
+                          p.program.num_parts() == p.parts,
+                      "multilevel part counts out of sync with partitioning "
+                      "or part program");
       break;
     }
     case Target::DistributedSerial:

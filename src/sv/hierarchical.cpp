@@ -1,28 +1,23 @@
 #include "sv/hierarchical.hpp"
 
-#include <algorithm>
-
-#include "common/bits.hpp"
 #include "common/check.hpp"
-#include "common/timer.hpp"
-#include "common/trace.hpp"
-#include "sv/kernels.hpp"
 
 namespace hisim::sv {
 namespace {
 
-/// Gate list with qubits remapped onto inner slots, built once per part.
-std::vector<Gate> remap_gates(const Circuit& c,
-                              std::span<const std::size_t> gates,
-                              std::span<const Qubit> slot_of) {
-  std::vector<Gate> out;
-  out.reserve(gates.size());
-  for (std::size_t gi : gates) {
-    Gate g = c.gate(gi);
-    for (Qubit& q : g.qubits) q = slot_of[q];
-    out.push_back(std::move(g));
-  }
-  return out;
+const KernelOps& or_default(const KernelOps* ops) {
+  return ops != nullptr ? *ops : kernel_ops();
+}
+
+void accumulate(HierarchicalStats& into, const HierarchicalStats& s) {
+  into.parts += s.parts;
+  into.inner_parts += s.inner_parts;
+  into.gather_seconds += s.gather_seconds;
+  into.execute_seconds += s.execute_seconds;
+  into.scatter_seconds += s.scatter_seconds;
+  into.outer_bytes_moved += s.outer_bytes_moved;
+  into.inner_bytes_touched += s.inner_bytes_touched;
+  into.flops += s.flops;
 }
 
 }  // namespace
@@ -30,161 +25,23 @@ std::vector<Gate> remap_gates(const Circuit& c,
 void run_part(const Circuit& c, std::span<const std::size_t> gates,
               std::span<const Qubit> part_qubits, StateVector& outer,
               HierarchicalStats& stats, const KernelOps* ops) {
-  const KernelOps& kops = ops != nullptr ? *ops : kernel_ops();
-  // Per-part granularity; the gather/exec/scatter iterations inside are
-  // far too hot for spans — the Stopwatch totals below cover those.
-  trace::TraceSpan span("part", "sv");
-  span.arg("gates", static_cast<std::int64_t>(gates.size()));
-  const unsigned n = outer.num_qubits();
-  const unsigned w = static_cast<unsigned>(part_qubits.size());
-  HISIM_CHECK(w <= n);
-  HISIM_CHECK(std::is_sorted(part_qubits.begin(), part_qubits.end()));
-
-  // Slot map: part qubit j lives at inner bit j.
-  std::vector<Qubit> slot_of(n, 0);
-  Index mask = 0;
-  for (unsigned j = 0; j < w; ++j) {
-    slot_of[part_qubits[j]] = j;
-    mask |= Index{1} << part_qubits[j];
-  }
-  const std::vector<Gate> inner_gates = remap_gates(c, gates, slot_of);
-
-  const Index kdim = Index{1} << w;
-  const Index inv = ~mask & (outer.size() - 1);
-  std::vector<Index> offset(kdim);
-  for (Index t = 0; t < kdim; ++t) offset[t] = bits::deposit(t, mask);
-
-  StateVector inner(w);
-  const Index iterations = outer.size() >> w;
-  cplx* out_a = outer.data();
-  cplx* in_a = inner.data();
-
-  Stopwatch gather_sw, exec_sw, scatter_sw;
-  for (Index m = 0; m < iterations; ++m) {
-    const Index base = bits::deposit(m, inv);
-    gather_sw.start();
-    for (Index t = 0; t < kdim; ++t) in_a[t] = out_a[base | offset[t]];
-    gather_sw.stop();
-    exec_sw.start();
-    for (const Gate& g : inner_gates) apply_gate(inner, g, kops);
-    exec_sw.stop();
-    scatter_sw.start();
-    for (Index t = 0; t < kdim; ++t) out_a[base | offset[t]] = in_a[t];
-    scatter_sw.stop();
-  }
-
-  stats.parts += 1;
-  stats.gather_seconds += gather_sw.seconds();
-  stats.execute_seconds += exec_sw.seconds();
-  stats.scatter_seconds += scatter_sw.seconds();
-  stats.outer_bytes_moved += 2 * outer.bytes();  // gather read + scatter write
-  stats.inner_bytes_touched +=
-      static_cast<Index>(gates.size()) * 2 * inner.bytes() * iterations;
-  for (std::size_t gi : gates)
-    stats.flops +=
-        gate_flops(c.gate(gi), w) * static_cast<double>(iterations);
+  accumulate(stats, PartProgram::compile_part(c, gates, part_qubits)
+                        .run(c, outer, or_default(ops)));
 }
 
 HierarchicalStats HierarchicalSimulator::run(
     const Circuit& c, const partition::Partitioning& parts,
     StateVector& state, const KernelOps* ops) const {
   HISIM_CHECK(state.num_qubits() == c.num_qubits());
-  HierarchicalStats stats;
-  for (const partition::Part& p : parts.parts)
-    run_part(c, p.gates, p.qubits, state, stats, ops);
-  return stats;
+  return PartProgram::compile(c, parts).run(c, state, or_default(ops));
 }
 
 HierarchicalStats HierarchicalSimulator::run(
     const Circuit& c, const partition::TwoLevelPartitioning& parts,
     StateVector& state, unsigned pad_to, const KernelOps* ops) const {
   HISIM_CHECK(state.num_qubits() == c.num_qubits());
-  const unsigned n = c.num_qubits();
-  HierarchicalStats stats;
-
-  for (std::size_t pi = 0; pi < parts.level1.num_parts(); ++pi) {
-    trace::TraceSpan part_span("part", "sv");
-    part_span.arg("index", static_cast<std::int64_t>(pi));
-    const partition::Part& p1 = parts.level1.parts[pi];
-    const unsigned w1 = p1.working_set();
-
-    // Remap the part's gates onto level-1 inner slots once.
-    std::vector<Qubit> slot1(n, 0);
-    Index mask = 0;
-    for (unsigned j = 0; j < w1; ++j) {
-      slot1[p1.qubits[j]] = j;
-      mask |= Index{1} << p1.qubits[j];
-    }
-    Circuit inner_circuit(w1);
-    for (const std::string& p : c.param_names()) inner_circuit.param(p);
-    for (std::size_t gi : p1.gates) {
-      Gate g = c.gate(gi);
-      for (Qubit& q : g.qubits) q = slot1[q];
-      inner_circuit.add(std::move(g));
-    }
-    // Level-2 parts expressed on level-1 slots, optionally padded with
-    // parent qubits for spatial locality (paper Sec. IV, multi-level).
-    const partition::Partitioning& l2 = parts.level2[pi];
-    struct InnerPart {
-      std::vector<std::size_t> gates;  // indices into inner_circuit
-      std::vector<Qubit> qubits;       // level-1 slots, sorted
-    };
-    std::vector<InnerPart> inner_parts;
-    for (const partition::Part& p2 : l2.parts) {
-      InnerPart ip;
-      ip.gates = p2.gates;  // local indices == inner_circuit indices
-      for (Qubit q : p2.qubits) ip.qubits.push_back(slot1[q]);
-      std::sort(ip.qubits.begin(), ip.qubits.end());
-      if (pad_to > 0) {
-        const unsigned target = std::min<unsigned>(pad_to, w1);
-        for (Qubit s = 0; s < w1 && ip.qubits.size() < target; ++s) {
-          if (!std::binary_search(ip.qubits.begin(), ip.qubits.end(), s))
-            ip.qubits.insert(
-                std::lower_bound(ip.qubits.begin(), ip.qubits.end(), s), s);
-        }
-      }
-      inner_parts.push_back(std::move(ip));
-    }
-
-    // Gather-execute-scatter of the level-1 part, with the execute step
-    // itself hierarchical over the level-2 parts.
-    const Index kdim = Index{1} << w1;
-    const Index inv = ~mask & (state.size() - 1);
-    std::vector<Index> offset(kdim);
-    for (Index t = 0; t < kdim; ++t) offset[t] = bits::deposit(t, mask);
-
-    StateVector inner(w1);
-    const Index iterations = state.size() >> w1;
-    cplx* out_a = state.data();
-    cplx* in_a = inner.data();
-    Stopwatch gather_sw, exec_sw, scatter_sw;
-    HierarchicalStats inner_stats;
-    for (Index m = 0; m < iterations; ++m) {
-      const Index base = bits::deposit(m, inv);
-      gather_sw.start();
-      for (Index t = 0; t < kdim; ++t) in_a[t] = out_a[base | offset[t]];
-      gather_sw.stop();
-      exec_sw.start();
-      for (const InnerPart& ip : inner_parts)
-        run_part(inner_circuit, ip.gates, ip.qubits, inner, inner_stats,
-                 ops);
-      exec_sw.stop();
-      scatter_sw.start();
-      for (Index t = 0; t < kdim; ++t) out_a[base | offset[t]] = in_a[t];
-      scatter_sw.stop();
-    }
-
-    stats.parts += 1;
-    stats.inner_parts += inner_parts.size();
-    stats.gather_seconds += gather_sw.seconds();
-    stats.execute_seconds += exec_sw.seconds();
-    stats.scatter_seconds += scatter_sw.seconds();
-    stats.outer_bytes_moved += 2 * state.bytes();
-    stats.inner_bytes_touched += inner_stats.outer_bytes_moved +
-                                 inner_stats.inner_bytes_touched;
-    stats.flops += inner_stats.flops;
-  }
-  return stats;
+  return PartProgram::compile(c, parts, pad_to)
+      .run(c, state, or_default(ops));
 }
 
 StateVector HierarchicalSimulator::simulate(

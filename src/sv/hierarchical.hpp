@@ -3,33 +3,17 @@
 #include "partition/multilevel.hpp"
 #include "partition/partition.hpp"
 #include "sv/kernel_dispatch.hpp"
+#include "sv/part_program.hpp"
 #include "sv/state_vector.hpp"
 
 namespace hisim::sv {
 
-/// Per-run accounting of the Gather-Execute-Scatter model. Byte counts
-/// follow the paper's memory-traffic reasoning: gather/scatter stream the
-/// full outer state vector once each per part, while gate execution stays
-/// inside the (cache-sized) inner vectors.
-struct HierarchicalStats {
-  std::size_t parts = 0;
-  std::size_t inner_parts = 0;      // second-level parts (two-level runs)
-  double gather_seconds = 0.0;
-  double execute_seconds = 0.0;
-  double scatter_seconds = 0.0;
-  Index outer_bytes_moved = 0;      // bytes read+written on the outer vector
-  Index inner_bytes_touched = 0;    // bytes processed inside inner vectors
-  double flops = 0.0;
-
-  double total_seconds() const {
-    return gather_seconds + execute_seconds + scatter_seconds;
-  }
-};
-
 /// Hierarchical simulator implementing Algorithm 1: for each part, for
 /// every assignment of the qubits outside the part, gather the matching
-/// amplitudes into an inner state vector, run the part's gates there (with
-/// qubits remapped to inner slots), and scatter the results back.
+/// amplitudes into an inner block, run the part's gates there (with
+/// qubits remapped to inner slots), and scatter the results back. Each
+/// call compiles a PartProgram and runs it once; plans that execute
+/// repeatedly keep the program instead (hisvsim/engine.hpp).
 class HierarchicalSimulator {
  public:
   /// Single-level run. `parts` must be a valid partitioning of `c`.
@@ -42,10 +26,9 @@ class HierarchicalSimulator {
 
   /// Two-level run (Sec. IV multi-level): level-1 parts are gathered from
   /// the outer vector; each level-2 part is gathered from the level-1
-  /// inner vector into a smaller cache-resident vector. `pad_to`
-  /// implements the paper's padding rule: inner parts with fewer qubits
-  /// than `pad_to` borrow qubits from the parent part for spatial
-  /// locality (0 disables).
+  /// block into a smaller cache-resident block. `pad_to` implements the
+  /// paper's padding rule: inner parts with fewer qubits than `pad_to`
+  /// borrow qubits from the parent part for spatial locality (0 disables).
   HierarchicalStats run(const Circuit& c,
                         const partition::TwoLevelPartitioning& parts,
                         StateVector& state, unsigned pad_to = 0,
@@ -57,9 +40,9 @@ class HierarchicalSimulator {
 };
 
 /// Executes one part against `outer`: the gather-execute-scatter cycle of
-/// Algorithm 1. `gates` are indices into `c`; `part_qubits` must be the
-/// sorted working set of those gates. Exposed for reuse by the two-level
-/// runner and the distributed executor.
+/// Algorithm 1, accumulated into `stats`. `gates` are indices into `c`;
+/// `part_qubits` must be sorted and cover those gates' qubits. Exposed for
+/// the distributed executor's second-level parts.
 void run_part(const Circuit& c, std::span<const std::size_t> gates,
               std::span<const Qubit> part_qubits, StateVector& outer,
               HierarchicalStats& stats, const KernelOps* ops = nullptr);

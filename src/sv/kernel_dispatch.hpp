@@ -35,6 +35,9 @@ const char* kernel_tier_name(KernelTier tier);
 /// dispatcher in kernels.cpp routes each GateKind to an entry (or to a
 /// tier-invariant permutation/generic path that needs no table).
 ///
+/// Every entry acts on a StateView: a whole StateVector or a contiguous
+/// block of one (in-place hierarchical parts).
+///
 /// Conventions shared by all entries:
 ///  * matrices are row-major spans of cplx (4 entries for 2x2, 16 for 4x4)
 ///  * `sorted_bits` lists *all* participating bit positions (controls +
@@ -48,31 +51,33 @@ struct KernelOps {
   const char* name;
 
   /// Dense 2x2 on qubit q: |size|/2 pair updates.
-  void (*apply_1q)(StateVector& s, Qubit q, const cplx* u2x2);
+  void (*apply_1q)(StateView s, Qubit q, const cplx* u2x2);
 
   /// Diagonal 2x2 on qubit q: amplitudes with bit q clear scale by d0, set
   /// by d1. Entries equal to exactly 1.0 are skipped (not multiplied) so
   /// S/T/P touch only half the state.
-  void (*apply_1q_diag)(StateVector& s, Qubit q, cplx d0, cplx d1);
+  void (*apply_1q_diag)(StateView s, Qubit q, cplx d0, cplx d1);
 
   /// Controlled dense 2x2: compact enumeration over
   /// size >> (1 + num_controls) pairs.
-  void (*apply_ctrl_1q)(StateVector& s, std::span<const Qubit> sorted_bits,
+  void (*apply_ctrl_1q)(StateView s, std::span<const Qubit> sorted_bits,
                         Index cmask, Qubit target, const cplx* u2x2);
 
   /// Controlled diagonal 2x2 (CZ/CRZ/CP): compact enumeration, exact-1.0
   /// entries skipped.
-  void (*apply_ctrl_diag)(StateVector& s, std::span<const Qubit> sorted_bits,
+  void (*apply_ctrl_diag)(StateView s, std::span<const Qubit> sorted_bits,
                           Index cmask, Qubit target, cplx d0, cplx d1);
-
-  /// General k-qubit diagonal: amplitude i scales by phases[code(i)] where
-  /// code gathers the bits of i at qs. Exact-1.0 phases skipped.
-  void (*apply_diag)(StateVector& s, std::span<const Qubit> qs,
-                     std::span<const cplx> phases);
 
   /// Dense 4x4 on (qa, qb), local bit 0 = qa, bit 1 = qb. Fully unrolled —
   /// no per-block gather/scatter buffers. Target of fused 2-qubit runs.
-  void (*apply_2q)(StateVector& s, Qubit qa, Qubit qb, const cplx* u4x4);
+  void (*apply_2q)(StateView s, Qubit qa, Qubit qb, const cplx* u4x4);
+
+  /// Diagonal 4x4 on (qa, qb): amplitude i scales by
+  /// d[bit(i, qa) | bit(i, qb) << 1]; exact-1.0 phases skipped. The path
+  /// for RZZ and for fused 2-qubit blocks whose bound product is exactly
+  /// diagonal (CX·RZ·CX): the phase code is two shifts per amplitude, and
+  /// the vector tier scales whole constant-phase runs.
+  void (*apply_2q_diag)(StateView s, Qubit qa, Qubit qb, const cplx* d4);
 };
 
 /// The scalar tier (always available).

@@ -96,7 +96,7 @@ void dense_pair_stream(double* p0, double* p1, Index count, const CVec& c00,
     pair_vec_step(p0, p1, c00, c01, c10, c11);
 }
 
-void a2_apply_1q(StateVector& s, Qubit q, const cplx* u) {
+void a2_apply_1q(StateView s, Qubit q, const cplx* u) {
   const Index half = s.size() >> 1;
   const Index qb = Index{1} << q;
   cplx* a = s.data();
@@ -168,7 +168,7 @@ void scale_run(cplx* a, Index i, Index end, const CVec& cd, cplx d) {
   for (; i < end; ++i) a[i] = fb::cmul(a[i], d);
 }
 
-void a2_apply_1q_diag(StateVector& s, Qubit q, cplx d0, cplx d1) {
+void a2_apply_1q_diag(StateView s, Qubit q, cplx d0, cplx d1) {
   const bool skip0 = fb::is_one(d0), skip1 = fb::is_one(d1);
   if (skip0 && skip1) return;
   const Index qb = Index{1} << q;
@@ -221,7 +221,7 @@ void a2_apply_1q_diag(StateVector& s, Qubit q, cplx d0, cplx d1) {
 
 // ---- controlled 2x2 --------------------------------------------------------
 
-void a2_apply_ctrl_1q(StateVector& s, std::span<const Qubit> sorted_bits,
+void a2_apply_ctrl_1q(StateView s, std::span<const Qubit> sorted_bits,
                       Index cmask, Qubit target, const cplx* u) {
   const Qubit minb = sorted_bits.front();
   if (minb == 0) {  // enumerated bases have stride 2 — no contiguous runs
@@ -272,7 +272,7 @@ void a2_apply_ctrl_1q(StateVector& s, std::span<const Qubit> sorted_bits,
   });
 }
 
-void a2_apply_ctrl_diag(StateVector& s, std::span<const Qubit> sorted_bits,
+void a2_apply_ctrl_diag(StateView s, std::span<const Qubit> sorted_bits,
                         Index cmask, Qubit target, cplx d0, cplx d1) {
   const bool skip0 = fb::is_one(d0), skip1 = fb::is_one(d1);
   if (skip0 && skip1) return;
@@ -324,35 +324,67 @@ void a2_apply_ctrl_diag(StateVector& s, std::span<const Qubit> sorted_bits,
   });
 }
 
-// ---- general diagonal ------------------------------------------------------
+// ---- diagonal 4x4 ----------------------------------------------------------
 
-void a2_apply_diag(StateVector& s, std::span<const Qubit> qs,
-                   std::span<const cplx> phases) {
-  const Qubit minq = *std::min_element(qs.begin(), qs.end());
-  if (minq == 0) {  // phase can change every amplitude — nothing to batch
-    fb::apply_diag(s, qs, phases);
+void a2_apply_2q_diag(StateView s, Qubit qa, Qubit qb, const cplx* d) {
+  const Qubit lo_q = std::min(qa, qb), hi_q = std::max(qa, qb);
+  if (lo_q == 0) {  // quad streams are stride-2 — no contiguous runs
+    fb::apply_2q_diag(s, qa, qb, d);
     return;
   }
-  const unsigned k = static_cast<unsigned>(qs.size());
-  const Index L = Index{1} << minq;  // amplitudes per constant-phase run
+  bool skip[4];
+  CVec cd[4];
+  __m256d keep[4];  // all-ones lanes where the phase is exactly 1.0
+  for (int t = 0; t < 4; ++t) {
+    skip[t] = fb::is_one(d[t]);
+    cd[t] = cvec_broadcast(d[t]);
+    keep[t] = _mm256_castsi256_pd(_mm256_set1_epi64x(skip[t] ? -1 : 0));
+  }
+  if (skip[0] && skip[1] && skip[2] && skip[3]) return;
+  const Index ba = Index{1} << qa, bb = Index{1} << qb;
+  const Index L = Index{1} << lo_q;  // contiguous quad-bases per run
   cplx* a = s.data();
-  parallel::for_range(0, s.size(), [&](Index lo, Index hi) {
-    Index i = lo;
-    while (i < hi) {
-      const Index run_end = std::min(hi, (i | (L - 1)) + 1);
-      Index code = 0;
-      for (unsigned j = 0; j < k; ++j)
-        code |= static_cast<Index>(bits::test(i, qs[j])) << j;
-      const cplx d = phases[code];
-      if (!fb::is_one(d)) scale_run(a, i, run_end, cvec_broadcast(d), d);
-      i = run_end;
+  // One vector of a stream: multiplied, then the original lanes blended
+  // back where the phase is exactly 1.0 (a skip in the scalar tier must
+  // stay a bitwise no-op here too).
+  const auto step = [&](double* p, int t) {
+    const __m256d v = _mm256_loadu_pd(p);
+    _mm256_storeu_pd(p, _mm256_blendv_pd(cmul_vc(v, cd[t]), v, keep[t]));
+  };
+  parallel::for_range(0, s.size() >> 2, [&](Index lo, Index hi) {
+    Index m = lo;
+    while (m < hi) {
+      // Same run structure as a2_apply_2q: the four streams of a run of
+      // quad bases are each contiguous, and each carries one phase.
+      const Index j = m & (L - 1);
+      const Index base = bits::insert_zero(bits::insert_zero(m, lo_q), hi_q);
+      const Index n_run = std::min(hi, m - j + L) - m;
+      double* p0 = amp(a, base);
+      double* p1 = amp(a, base | ba);
+      double* p2 = amp(a, base | bb);
+      double* p3 = amp(a, base | ba | bb);
+      Index done = 0;
+      for (; done + 2 <= n_run;
+           done += 2, p0 += 4, p1 += 4, p2 += 4, p3 += 4) {
+        step(p0, 0);
+        step(p1, 1);
+        step(p2, 2);
+        step(p3, 3);
+      }
+      if (done < n_run) {
+        const Index i = base + done;
+        const Index idx[4] = {i, i | ba, i | bb, i | ba | bb};
+        for (int t = 0; t < 4; ++t)
+          if (!skip[t]) a[idx[t]] = fb::cmul(a[idx[t]], d[t]);
+      }
+      m += n_run;
     }
   });
 }
 
 // ---- dense 4x4 -------------------------------------------------------------
 
-void a2_apply_2q(StateVector& s, Qubit qa, Qubit qb, const cplx* u) {
+void a2_apply_2q(StateView s, Qubit qa, Qubit qb, const cplx* u) {
   const Qubit lo_q = std::min(qa, qb), hi_q = std::max(qa, qb);
   if (lo_q == 0) {  // quad streams are stride-2 — no contiguous runs
     fb::apply_2q(s, qa, qb, u);
@@ -414,8 +446,9 @@ void a2_apply_2q(StateVector& s, Qubit qa, Qubit qb, const cplx* u) {
 
 const KernelOps* avx2_kernel_ops_or_null() {
   static const KernelOps ops = {
-      KernelTier::Simd, "simd",          &a2_apply_1q, &a2_apply_1q_diag,
-      &a2_apply_ctrl_1q, &a2_apply_ctrl_diag, &a2_apply_diag, &a2_apply_2q,
+      KernelTier::Simd,  "simd",           &a2_apply_1q,
+      &a2_apply_1q_diag, &a2_apply_ctrl_1q, &a2_apply_ctrl_diag,
+      &a2_apply_2q,      &a2_apply_2q_diag,
   };
   return &ops;
 }

@@ -17,8 +17,8 @@ const KernelOps& scalar_kernel_ops() {
       &scalar_impl::apply_1q_diag,
       &scalar_impl::apply_ctrl_1q,
       &scalar_impl::apply_ctrl_diag,
-      &scalar_impl::apply_diag,
       &scalar_impl::apply_2q,
+      &scalar_impl::apply_2q_diag,
   };
   return ops;
 }

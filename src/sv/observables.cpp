@@ -11,23 +11,56 @@
 #include "common/parallel.hpp"
 
 namespace hisim::sv {
+
+// Parallel reductions over amplitude ranges use parallel::block_grid: a
+// fixed, machine-independent grid whose per-block partials merge serially
+// in block order, so the floating-point summation order — and therefore
+// every downstream bit (pooled counts, shot outcomes) — is identical no
+// matter how many workers ran.
+using parallel::block_grid;
+using parallel::BlockGrid;
+
 namespace {
 
-/// Fixed, machine-independent block grid for deterministic parallel
-/// reductions over amplitude ranges: per-block partials are computed
-/// concurrently and merged serially in block order, so the floating-point
-/// summation order — and therefore every downstream bit (pooled counts,
-/// shot outcomes) — is identical no matter how many workers ran.
-struct BlockGrid {
-  Index blocks;
-  Index per;  // amplitudes per block (last block may be short)
-};
+/// Parity of the set bits of x, branch-free (the baseline ISA has no
+/// popcnt instruction).
+Index parity(Index x) {
+  x ^= x >> 32;
+  x ^= x >> 16;
+  x ^= x >> 8;
+  x ^= x >> 4;
+  x ^= x >> 2;
+  x ^= x >> 1;
+  return x & 1u;
+}
 
-BlockGrid block_grid(Index n, Index max_blocks = 256) {
-  constexpr Index kGrain = Index{1} << 14;
-  Index blocks = std::min((n + kGrain - 1) / kGrain, max_blocks);
-  if (blocks == 0) blocks = 1;
-  return {blocks, (n + blocks - 1) / blocks};
+/// <psi|Z-string|psi> for a diagonal string: Σ ±|a_i|² in real arithmetic.
+/// Bit 0 of `zmask` alternates the sign within each amplitude pair; the
+/// higher bits fix it over runs of 2^(lowest higher bit) amplitudes, so the
+/// sign is resolved once per run and the inner loop is a plain sum.
+double z_expectation(const StateVector& state, Index zmask) {
+  const cplx* a = state.data();
+  const Index n = state.size();
+  const bool z0 = (zmask & 1u) != 0;
+  const Index zhigh = zmask & ~Index{1};
+  const Index run = zhigh != 0 ? (zhigh & (~zhigh + 1)) : n;
+  const auto partial = [&](Index lo, Index hi) {
+    double acc = 0.0;
+    for (Index r = lo; r < hi;) {
+      const Index end = std::min(hi, (r | (run - 1)) + 1);
+      double sum = 0.0;
+      if (z0) {
+        for (Index i = r; i + 1 < end; i += 2)
+          sum += std::norm(a[i]) - std::norm(a[i + 1]);
+      } else {
+        for (Index i = r; i < end; ++i) sum += std::norm(a[i]);
+      }
+      acc += parity(r & zhigh) != 0 ? -sum : sum;
+      r = end;
+    }
+    return acc;
+  };
+  return parallel::reduce_sum(n, partial);
 }
 
 }  // namespace
@@ -100,6 +133,7 @@ double expectation(const StateVector& state, const PauliString& p) {
       case Pauli::Z: zmask |= Index{1} << q; break;
     }
   }
+  if (flip == 0) return z_expectation(state, zmask);
   const unsigned ny = bits::popcount(ymask);
   // Global factor from Y = i * X * Z decomposition: each Y contributes a
   // factor of i and acts as X (bit flip) combined with Z (sign on the

@@ -2,16 +2,88 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <memory>
+#include <utility>
 
 #include "common/bits.hpp"
 #include "common/check.hpp"
+#include "common/parallel.hpp"
 
 namespace hisim::sv {
+namespace {
+
+/// Fills [0, n) of raw storage in parallel over the block grid — the first
+/// touch of every page happens on the worker that owns its block.
+void parallel_fill(cplx* a, Index n, const cplx* src) {
+  const parallel::BlockGrid grid = parallel::block_grid(n);
+  parallel::for_range(
+      0, grid.blocks,
+      [&](Index lo, Index hi) {
+        for (Index b = lo; b < hi; ++b) {
+          const Index begin = b * grid.per;
+          const Index end = std::min(n, begin + grid.per);
+          if (src != nullptr)
+            std::memcpy(static_cast<void*>(a + begin), src + begin,
+                        (end - begin) * kAmpBytes);
+          else
+            std::uninitialized_fill(a + begin, a + end, cplx{});
+        }
+      },
+      /*grain=*/1);
+}
+
+}  // namespace
+
+void AmpFree::operator()(cplx* p) const { ::operator delete[](p); }
+
+AmpBuffer allocate_amps(Index n) {
+  // operator new implicitly creates the (implicit-lifetime) cplx objects.
+  return AmpBuffer(
+      static_cast<cplx*>(::operator new[](n * kAmpBytes)));
+}
+
+StateVector::StateVector(unsigned num_qubits) : num_qubits_(num_qubits) {
+  // Validate before allocating (2^35 amplitudes = 512 GiB).
+  HISIM_CHECK_MSG(num_qubits <= 34, "state vector would exceed 256 GiB");
+  size_ = dim(num_qubits);
+  amps_ = allocate_amps(size_);
+  parallel_fill(amps_.get(), size_, nullptr);
+  amps_[0] = 1.0;
+}
+
+StateVector::StateVector(const StateVector& other)
+    : num_qubits_(other.num_qubits_), size_(other.size_) {
+  if (other.amps_) {
+    amps_ = allocate_amps(size_);
+    parallel_fill(amps_.get(), size_, other.amps_.get());
+  }
+}
+
+StateVector& StateVector::operator=(const StateVector& other) {
+  if (this != &other) *this = StateVector(other);
+  return *this;
+}
+
+StateVector::StateVector(StateVector&& other) noexcept
+    : num_qubits_(std::exchange(other.num_qubits_, 0)),
+      size_(std::exchange(other.size_, 0)),
+      amps_(std::move(other.amps_)) {}
+
+StateVector& StateVector::operator=(StateVector&& other) noexcept {
+  num_qubits_ = std::exchange(other.num_qubits_, 0);
+  size_ = std::exchange(other.size_, 0);
+  amps_ = std::move(other.amps_);
+  return *this;
+}
 
 double StateVector::norm() const {
-  double n = 0.0;
-  for (const cplx& a : amps_) n += std::norm(a);
-  return n;
+  const cplx* a = data();
+  return parallel::reduce_sum(size(), [a](Index lo, Index hi) {
+    double n = 0.0;
+    for (Index i = lo; i < hi; ++i) n += std::norm(a[i]);
+    return n;
+  });
 }
 
 double StateVector::prob_one(Qubit q) const {
@@ -38,7 +110,7 @@ double StateVector::fidelity(const StateVector& other) const {
 }
 
 void StateVector::reset() {
-  std::fill(amps_.begin(), amps_.end(), cplx{});
+  parallel_fill(amps_.get(), size_, nullptr);
   amps_[0] = 1.0;
 }
 

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "circuits/generators.hpp"
+#include "common/parallel.hpp"
 #include "dag/circuit_dag.hpp"
 #include "dist/hisvsim_dist.hpp"
 #include "dist/iqs_baseline.hpp"
@@ -306,6 +307,32 @@ TEST(Engine, MultilevelAutoLevel2) {
   EXPECT_LT(plan.execute().state.max_abs_diff(
                 sv::FlatSimulator().simulate(c)),
             1e-10);
+}
+
+// Phase seconds are shares of the execute wall even when a part's outer
+// iterations run on several workers: gather + apply + scatter never
+// exceeds the wall (they used to be summed CPU seconds).
+TEST(Engine, HierarchicalPhasesFitInExecuteWall) {
+  parallel::set_num_threads(4);
+  const Circuit c = circuits::qft(16);
+  for (Target t : {Target::Hierarchical, Target::Multilevel}) {
+    Options o;
+    o.target = t;
+    o.limit = 10;
+    o.level2_limit = 6;
+    const ExecutionPlan plan = Engine::compile(c, o);
+    ASSERT_GT(plan.num_parts(), 1u) << target_name(t);
+    const Result r = plan.execute();
+    const double phases = r.gather_seconds + r.apply_seconds +
+                          r.scatter_seconds;
+    EXPECT_GT(r.gather_seconds, 0.0) << target_name(t);
+    EXPECT_LE(phases, r.execute_seconds) << target_name(t);
+    EXPECT_LE(r.metrics.at("gather.seconds") + r.metrics.at("apply.seconds") +
+                  r.metrics.at("scatter.seconds"),
+              r.metrics.at("execute.wall_seconds"))
+        << target_name(t);
+  }
+  parallel::set_num_threads(0);
 }
 
 }  // namespace

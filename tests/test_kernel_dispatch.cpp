@@ -9,10 +9,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <utility>
 #include <vector>
 
+#include "circuit/fusion.hpp"
 #include "circuit/gate.hpp"
 #include "circuits/generators.hpp"
 #include "common/error.hpp"
@@ -115,6 +117,50 @@ TEST(KernelDispatch, EveryGateKindEveryTierMatchesScalar) {
     } else {
       EXPECT_LT(a.max_abs_diff(b), 1e-12) << g.to_string();
     }
+  }
+}
+
+// The compact 2-qubit diagonal kernel on every operand layout (stride-1
+// fallback, constant-phase runs of 2 and wider, either operand order) and
+// phase pattern (exact-1.0 entries must stay bitwise no-ops), plus the
+// fused CX·RZ·CX block that reaches it through resolve_block.
+TEST(KernelDispatch, TwoQubitDiagonalMatchesScalar) {
+  if (!sv::simd_kernels_available())
+    GTEST_SKIP() << "only the scalar tier exists in this build/CPU";
+  const sv::KernelOps& scalar = sv::kernel_ops(sv::KernelTier::Scalar);
+  const sv::KernelOps& simd = sv::kernel_ops(sv::KernelTier::Simd);
+  const cplx e(0.6, -0.8), f(-0.28, 0.96);
+  const std::vector<std::vector<cplx>> phases = {
+      {e, f, std::conj(f), std::conj(e)},
+      {1.0, e, 1.0, f},
+      {e, 1.0, 1.0, 1.0},
+      {1.0, 1.0, 1.0, 1.0}};
+  const unsigned n = 7;
+  for (const auto& [qa, qb] : std::vector<std::pair<Qubit, Qubit>>{
+           {0, 3}, {3, 0}, {1, 2}, {2, 6}, {6, 1}, {4, 5}}) {
+    for (const std::vector<cplx>& d : phases) {
+      sv::StateVector a = testutil::random_state(n, 0xd1a9);
+      sv::StateVector b = a;
+      scalar.apply_2q_diag(a, qa, qb, d.data());
+      simd.apply_2q_diag(b, qa, qb, d.data());
+      expect_bit_identical(a, b,
+                           "qa " + std::to_string(qa) + " qb " +
+                               std::to_string(qb));
+    }
+    // CX·RZ·CX multiplies out to an exactly diagonal 4x4: it must take
+    // the diagonal kernel and match the gate-by-gate sweep.
+    const std::vector<Qubit> support = {std::min(qa, qb), std::max(qa, qb)};
+    Matrix u = Matrix::identity(4);
+    const std::vector<Gate> block = {Gate::cx(qa, qb), Gate::rz(qb, 0.7),
+                                     Gate::cx(qa, qb)};
+    for (const Gate& g : block) u = embed_unitary(g, support) * u;
+    const sv::KernelCall call = sv::resolve_block(support, u);
+    EXPECT_EQ(call.kind, sv::KernelCall::Kind::Diag2q);
+    sv::StateVector fused = testutil::random_state(n, 0xf00d);
+    sv::StateVector ref = fused;
+    sv::apply_call(fused, call, simd);
+    for (const Gate& g : block) sv::apply_gate(ref, g, scalar);
+    EXPECT_LT(fused.max_abs_diff(ref), 1e-14);
   }
 }
 

@@ -411,6 +411,26 @@ TEST_P(DifferentialEquivalence, OptimizedPlansMatchUnoptimizedEverywhere) {
         << target_name(t) << " seed " << seed;
     EXPECT_LE(r1.gates, r0.gates) << target_name(t) << " seed " << seed;
   }
+
+  // The hierarchical part programs (fused ops, in place or gathered,
+  // one or two levels) against the unfused flat reference on the same
+  // unoptimized circuit: limit 3 gathers many small parts, limit n runs
+  // one part in place.
+  Options flat;
+  flat.target = Target::Flat;
+  flat.opt_level = 0;
+  const Result ref = Engine::compile(c, flat).execute();
+  for (Target t : {Target::Hierarchical, Target::Multilevel}) {
+    for (unsigned limit : {3u, n}) {
+      Options o = flat;
+      o.target = t;
+      o.limit = limit;
+      o.level2_limit = 3;
+      EXPECT_LT(Engine::compile(c, o).execute().state.max_abs_diff(ref.state),
+                1e-12)
+          << target_name(t) << " limit " << limit << " seed " << seed;
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, DifferentialEquivalence,
